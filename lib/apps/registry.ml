@@ -46,8 +46,13 @@ let kernels_ok =
         ("Registry: kernel access programs failed static verification:\n"
         ^ String.concat "\n" lines))
 
+(* [Lazy.force] is not domain-safe: a second domain forcing the value
+   while the first is still verifying raises [CamlinternalLazy.Undefined],
+   and experiment runs look apps up from several worker domains at once. *)
+let kernels_mutex = Mutex.create ()
+
 let find name =
-  Lazy.force kernels_ok;
+  Mutex.protect kernels_mutex (fun () -> Lazy.force kernels_ok);
   List.assoc name all
 let names = List.map fst all
 let splash2 = List.map fst splash2_apps

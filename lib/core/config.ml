@@ -16,16 +16,6 @@ let env_trace () =
   | None | Some "" | Some "0" -> 0
   | Some _ -> 1
 
-(* SHASTA_SHARDS likewise; 0 means "auto" (resolved per run against the
-   machine's node count and the host's core count by Dsm.run). *)
-let env_shards () =
-  match Sys.getenv_opt "SHASTA_SHARDS" with
-  | None | Some "" | Some "auto" | Some "0" -> 0
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ -> invalid_arg "SHASTA_SHARDS: expected auto|0|N>=1")
-
 (* SHASTA_FASTPATH gates the fused inline-check fast path; it defaults
    to on and exists so CI can diff fast-path vs. reference runs
    byte-for-byte. *)
@@ -71,14 +61,11 @@ let create ?(variant = Base) ?(nprocs = 1) ?(procs_per_node = 4)
     ?(checks_enabled = true) ?(timing = Timing.default)
     ?(link = Shasta_net.Link.default) ?(max_cycles = 2_000_000_000)
     ?(seed = 42) ?(smp_sync = false) ?(share_directory = false)
-    ?sanitize ?trace ?shards ?fastpath ?ckpt ?fault () =
+    ?sanitize ?trace ?fastpath ?ckpt ?fault () =
   let sanitize =
     match sanitize with Some s -> max 0 s | None -> env_sanitize ()
   in
   let trace = match trace with Some v -> max 0 v | None -> env_trace () in
-  let shards =
-    match shards with Some s -> max 0 s | None -> env_shards ()
-  in
   let fastpath =
     match fastpath with Some b -> b | None -> env_fastpath ()
   in
@@ -109,7 +96,7 @@ let create ?(variant = Base) ?(nprocs = 1) ?(procs_per_node = 4)
     share_directory;
     sanitize;
     trace;
-    shards;
+    shards = 1;
     fastpath;
     ckpt;
     fault;

@@ -8,18 +8,9 @@ type handle = {
   m : Machine.t;
   mutable ran : bool;
   mutable sched : int * int;
-  mutable shards_used : int;
-  mutable shard_info : Engine.shard_stats option;
 }
 
-let create cfg =
-  {
-    m = Machine.create cfg;
-    ran = false;
-    sched = (0, 0);
-    shards_used = 0;
-    shard_info = None;
-  }
+let create cfg = { m = Machine.create cfg; ran = false; sched = (0, 0) }
 let config h = h.m.Machine.cfg
 let machine h = h.m
 
@@ -190,40 +181,11 @@ let lookahead_matrix m =
         let same_node = Shasta_net.Topology.same_node m.Machine.topo p q in
         Shasta_net.Link.transfer_cycles cfg.Config.link ~same_node ~size:0)
 
-(* How many shards a run actually uses. The partition unit is the
-   coherence node (procs sharing a node share images/tables — zero
-   lookahead — and must stay on one domain; distinct nodes interact only
-   through the network, whose cheapest message satisfies the sharded
-   engine's lookahead >= 1 requirement). Forced to 1 when:
-   - [run_ahead] is off (the sharded loop is a run-ahead loop);
-   - fault injection is on (an injected protocol bug may wedge the run
-     before the post-join sweep that replaces the per-barrier sweep);
-   - sanitize >= 2 (the happens-before race detector consumes the merged
-     event stream, which is only virtual-time-ordered sequentially);
-   - checkpointing is on (the checkpoint observer snapshots whole-node
-     slices, which must observe a virtual-time-consistent machine). *)
-let resolve_shards cfg ~run_ahead ~requested =
-  let nnodes = Config.nnodes cfg in
-  let req =
-    match requested with Some n -> n | None -> cfg.Config.shards
-  in
-  let req = if req = 0 then Domain.recommended_domain_count () else req in
-  if
-    (not run_ahead) || cfg.Config.fault <> None || cfg.Config.sanitize >= 2
-    || cfg.Config.ckpt > 0
-  then 1
-  else max 1 (min req nnodes)
-
-let run ?(run_ahead = true) ?shards ?(events = []) h body =
+let run ?(run_ahead = true) ?(events = []) h body =
   assert (not h.ran);
   h.ran <- true;
   let cfg = h.m.Machine.cfg in
   let m = h.m in
-  let shards = resolve_shards cfg ~run_ahead ~requested:shards in
-  (* Crash events mutate whole-machine state atomically at a scheduler
-     decision point; only the sequential scheduler has one. *)
-  let shards = if events <> [] then 1 else shards in
-  h.shards_used <- shards;
   let make_body eng =
     let p = Protocol.make_ctx m eng in
     let ctx = make_ctx m p ~fast:true in
@@ -231,65 +193,13 @@ let run ?(run_ahead = true) ?shards ?(events = []) h body =
     flush ctx;
     Protocol.drain p
   in
-  if shards = 1 then begin
-    let outcome =
-      Engine.run ~nprocs:cfg.Config.nprocs ~max_cycles:cfg.Config.max_cycles
-        ~run_ahead
-        ~arrival_hint:(Machine.earliest_arrival m)
-        ~lookahead:(lookahead_matrix m) ~events make_body
-    in
-    h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided)
-  end
-  else begin
-    let nnodes = Config.nnodes cfg in
-    let shard_of_node n = n * shards / nnodes in
-    let shard_of p = shard_of_node (Machine.node_of m p) in
-    m.Machine.sharded <- true;
-    (match m.Machine.observer with
-    | None -> ()
-    | Some o ->
-      m.Machine.observer <- Some (Observer.synchronized (Mutex.create ()) o));
-    Network.set_sharding m.Machine.net ~shards ~shard_of;
-    let shard_procs = Array.make shards [] in
-    for p = cfg.Config.nprocs - 1 downto 0 do
-      shard_procs.(shard_of p) <- p :: shard_procs.(shard_of p)
-    done;
-    let shard_nodes = Array.make shards [] in
-    for n = nnodes - 1 downto 0 do
-      shard_nodes.(shard_of_node n) <- n :: shard_nodes.(shard_of_node n)
-    done;
-    let outcome, stats =
-      Engine.run_sharded ~nprocs:cfg.Config.nprocs ~shards ~shard_of
-        ~max_cycles:cfg.Config.max_cycles
-        ~arrival_hint:(Machine.earliest_arrival m)
-        ~lookahead:(lookahead_matrix m)
-        ~drain:(fun s -> Network.drain_shard m.Machine.net ~shard:s)
-        ~cross_sent:(fun () -> Network.cross_sent m.Machine.net)
-        ~quiet:(fun s ->
-          Machine.shard_quiet m ~procs:shard_procs.(s) ~nodes:shard_nodes.(s))
-        ~on_quiesced:(fun () -> Atomic.set m.Machine.quiesced true)
-        ~clock:Unix.gettimeofday
-          (* Parked-shard backoff: spin briefly (cross-shard hand-offs
-             are usually tens of cycles away), then yield the core to
-             the OS scheduler. Crucial when shards outnumber host cores
-             — a spinning parked shard would otherwise eat the working
-             shard's whole timeslice between hand-offs. Host-time
-             policy only; virtual time never sees it. *)
-        ~park:(fun consec ->
-          if consec < 200 then Domain.cpu_relax () else Unix.sleepf 50e-6)
-        make_body
-    in
-    m.Machine.sharded <- false;
-    h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided);
-    h.shard_info <- Some stats;
-    (* The per-barrier sanitizer sweep is skipped while sharded (it
-       reads every shard's state); make up for it with one sweep over
-       the joined, quiescent machine. *)
-    if cfg.Config.sanitize > 0 then
-      match Inspect.report m with
-      | [] -> ()
-      | vs -> raise (Inspect.Violation vs)
-  end
+  let outcome =
+    Engine.run ~nprocs:cfg.Config.nprocs ~max_cycles:cfg.Config.max_cycles
+      ~run_ahead
+      ~arrival_hint:(Machine.earliest_arrival m)
+      ~lookahead:(lookahead_matrix m) ~events make_body
+  in
+  h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided)
 
 let run_controlled ?(events = []) ~choose h body =
   assert (not h.ran);
@@ -963,5 +873,3 @@ let downgrade_messages h =
 
 let messages_local h = Network.sent_local h.m.Machine.net
 let messages_remote h = Network.sent_remote h.m.Machine.net
-let shards_used h = h.shards_used
-let shard_stats h = h.shard_info

@@ -70,8 +70,6 @@ type t = {
   mutable next_lock : int;
   mutable next_barrier : int;
   mutable observer : Observer.t option;
-  mutable sharded : bool;
-  quiesced : bool Atomic.t;
   (* Crash bookkeeping. [dead]/[dead_nodes] are set (with [has_dead])
      atomically with the recovery surgery by [Shasta_recover.Crash], so
      protocol code only ever observes a fully recovered machine; the
@@ -143,8 +141,6 @@ let create (cfg : Config.t) =
     next_lock = 0;
     next_barrier = 0;
     observer = None;
-    sharded = false;
-    quiesced = Atomic.make false;
     dead = Array.make cfg.Config.nprocs false;
     dead_nodes = Array.make (Config.nnodes cfg) false;
     has_dead = false;
@@ -336,29 +332,6 @@ let quiescent t =
            d;
          !idle)
        t.dirs
-
-(* [quiescent] restricted to one shard: reads only the given processors'
-   flags, queues and directories and the given nodes' tables, all owned
-   by the calling shard's domain. The finished-flag check comes first so
-   the common mid-run probe is O(1). *)
-let shard_quiet t ~procs ~nodes =
-  List.for_all
-    (fun p -> t.procs.(p).finished && Network.queued t.net ~dst:p = 0)
-    procs
-  && List.for_all
-       (fun n ->
-         let ns = t.nodes.(n) in
-         Miss_table.count ns.misses = 0 && Downgrade.count ns.downgrades = 0)
-       nodes
-  && List.for_all
-       (fun p ->
-         let idle = ref true in
-         Directory.iter
-           (fun _ e ->
-             if e.Directory.busy || e.Directory.queue <> [] then idle := false)
-           t.dirs.(p);
-         !idle)
-       procs
 
 let parallel_cycles t =
   Array.fold_left (fun acc p -> max acc p.app_finish_cycles) 0 t.procs

@@ -77,24 +77,14 @@ type t = {
   barriers : (int, barrier_state) Hashtbl.t;
   barrier_local : (int, barrier_state) Hashtbl.t array;
       (** per-coherence-node combining state for the hierarchical
-          barrier extension, keyed by barrier id. One table per node
-          (rather than one (barrier, node)-keyed table) so that under
-          the sharded scheduler each shard touches only its own nodes'
-          tables — no cross-domain Hashtbl mutation. *)
+          barrier extension, keyed by barrier id, one table per
+          node. *)
   procs : proc_state array;
   mutable next_lock : int;
   mutable next_barrier : int;
   mutable observer : Observer.t option;
       (** analysis hooks; [None] (the default) makes every hook site a
           no-op. Install before the parallel phase starts. *)
-  mutable sharded : bool;
-      (** true while the sharded scheduler is driving this machine:
-          gates host-order-dependent conveniences (the per-barrier
-          sanitizer sweep, the sequential drain predicate) that would
-          race or skew across domains *)
-  quiesced : bool Atomic.t;
-      (** set exactly once by the sharded scheduler's termination
-          detector; the sharded drain loop spins on it *)
   dead : bool array;
       (** per-processor crash flags; mutated only inside the atomic
           crash-and-recover surgery of [Shasta_recover.Crash] *)
@@ -165,11 +155,6 @@ val quiescent : t -> bool
 (** No queued or in-flight messages, no outstanding misses, downgrades,
     or busy directory entries — used to drain the run after all
     application code has finished. *)
-
-val shard_quiet : t -> procs:int list -> nodes:int list -> bool
-(** {!quiescent} restricted to one shard's processors and coherence
-    nodes — the sharded scheduler's per-shard quiet predicate. Reads
-    only state owned by the calling shard's domain. *)
 
 val parallel_cycles : t -> int
 (** Maximum over processors of the cycle count at which the application

@@ -49,71 +49,6 @@ let nil =
     on_barrier_leave = (fun ~proc:_ ~barrier:_ ~epoch:_ ~now:_ -> ());
   }
 
-(* Wrap every hook of [o] in [mu]: under the sharded scheduler hooks
-   fire from several domains, and observers built for the sequential
-   scheduler (trace buffers, metrics tables) assume exclusive access.
-   The lock is taken per event, never held across events, so it cannot
-   interact with the shards' termination protocol. *)
-let synchronized mu o =
-  let locked f =
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-  in
-  {
-    on_state =
-      (fun ~by ~node ~block ~from_ ~to_ ~now ->
-        locked (fun () -> o.on_state ~by ~node ~block ~from_ ~to_ ~now));
-    on_private =
-      (fun ~by ~proc ~block ~from_ ~to_ ~now ->
-        locked (fun () -> o.on_private ~by ~proc ~block ~from_ ~to_ ~now));
-    on_pending =
-      (fun ~by ~node ~block ~set ~now ->
-        locked (fun () -> o.on_pending ~by ~node ~block ~set ~now));
-    on_pending_downgrade =
-      (fun ~by ~node ~block ~set ~now ->
-        locked (fun () -> o.on_pending_downgrade ~by ~node ~block ~set ~now));
-    on_send =
-      (fun ~src ~dst ~now m -> locked (fun () -> o.on_send ~src ~dst ~now m));
-    on_recv =
-      (fun ~src ~dst ~now m -> locked (fun () -> o.on_recv ~src ~dst ~now m));
-    on_miss_start =
-      (fun ~proc ~block ~kind ~now ->
-        locked (fun () -> o.on_miss_start ~proc ~block ~kind ~now));
-    on_miss_end =
-      (fun ~proc ~block ~kind ~start ~now ->
-        locked (fun () -> o.on_miss_end ~proc ~block ~kind ~start ~now));
-    on_downgrade_ack =
-      (fun ~proc ~block ~now ->
-        locked (fun () -> o.on_downgrade_ack ~proc ~block ~now));
-    on_downgrade_done =
-      (fun ~proc ~block ~now ->
-        locked (fun () -> o.on_downgrade_done ~proc ~block ~now));
-    on_downgrade_queued =
-      (fun ~proc ~block ~src ~now m ->
-        locked (fun () -> o.on_downgrade_queued ~proc ~block ~src ~now m));
-    on_downgrade_replay =
-      (fun ~proc ~block ~src ~now m ->
-        locked (fun () -> o.on_downgrade_replay ~proc ~block ~src ~now m));
-    on_load =
-      (fun ~proc ~addr ~len ~now ->
-        locked (fun () -> o.on_load ~proc ~addr ~len ~now));
-    on_store =
-      (fun ~proc ~addr ~len ~now ->
-        locked (fun () -> o.on_store ~proc ~addr ~len ~now));
-    on_lock_acquired =
-      (fun ~proc ~lock ~now ->
-        locked (fun () -> o.on_lock_acquired ~proc ~lock ~now));
-    on_lock_released =
-      (fun ~proc ~lock ~now ->
-        locked (fun () -> o.on_lock_released ~proc ~lock ~now));
-    on_barrier_arrive =
-      (fun ~proc ~barrier ~epoch ~now ->
-        locked (fun () -> o.on_barrier_arrive ~proc ~barrier ~epoch ~now));
-    on_barrier_leave =
-      (fun ~proc ~barrier ~epoch ~now ->
-        locked (fun () -> o.on_barrier_leave ~proc ~barrier ~epoch ~now));
-  }
-
 let seq a b =
   {
     on_state =

@@ -90,14 +90,3 @@ val nil : t
 
 val seq : t -> t -> t
 (** [seq a b] runs [a]'s callback then [b]'s at every event. *)
-
-val synchronized : Mutex.t -> t -> t
-(** [synchronized mu o] wraps every callback of [o] in [mu]. The sharded
-    scheduler fires hooks from several domains concurrently; observers
-    written for the sequential scheduler (trace buffers, metrics tables,
-    the sanitizer) assume exclusive access, so [Dsm.run] wraps the
-    installed observer before a sharded run. The lock is per event and
-    never held across events. Note that the {e interleaving} of events
-    from different processors under the lock follows host time, not
-    virtual time — per-processor event substreams remain deterministic
-    (the trace oracle's invariant), the merged order does not. *)

@@ -1435,13 +1435,9 @@ let local_barrier ctx barrier =
 
 (* SHASTA_SANITIZE >= 1: sweep the whole-machine invariants every time a
    processor leaves a barrier. The sweep charges no cycles and runs only
-   between scheduling points, so simulated time is unchanged. Skipped
-   under the sharded scheduler: the sweep reads every node's tables, and
-   other shards are mid-flight in host time even though their effects
-   are provably invisible in virtual time — Dsm.run instead sweeps once
-   after the shards join. *)
+   between scheduling points, so simulated time is unchanged. *)
 let barrier_sanitize ctx =
-  if ctx.m.Machine.cfg.Config.sanitize > 0 && not ctx.m.Machine.sharded then
+  if ctx.m.Machine.cfg.Config.sanitize > 0 then
     match Inspect.report ctx.m with
     | [] -> ()
     | vs -> raise (Inspect.Violation vs)
@@ -1496,20 +1492,7 @@ let drain ctx =
   ctx.ps.Machine.finished <- true;
   ctx.ps.Machine.app_finish_cycles <- Engine.now ctx.eng;
   let gap = ctx.t.Timing.stall_gap in
-  if ctx.m.Machine.sharded then
-    (* [Machine.quiescent] reads every shard's queues and tables, which
-       is racy across domains; the sharded scheduler's termination
-       detector publishes the same condition through [quiesced] (set
-       exactly once, when every shard is quiet and every cross-shard
-       send is drained). The final clocks of drained processors — never
-       part of the simulation's results — depend on when quiescence is
-       detected in host time. *)
-    while not (Atomic.get ctx.m.Machine.quiesced) do
-      poll ctx;
-      Engine.advance ctx.eng (gap + Engine.idle_skip ctx.eng ~quantum:gap)
-    done
-  else
-    while not (Machine.quiescent ctx.m) do
-      poll ctx;
-      Engine.advance ctx.eng (gap + Engine.idle_skip ctx.eng ~quantum:gap)
-    done
+  while not (Machine.quiescent ctx.m) do
+    poll ctx;
+    Engine.advance ctx.eng (gap + Engine.idle_skip ctx.eng ~quantum:gap)
+  done

@@ -7,7 +7,7 @@
     record count, reporting p50/p99/p999 op latency and messages/op per
     operation class. Every run is oracle-checked (per-key sequential
     consistency against a lock-order shadow). All rendered quantities
-    are virtual-time, so the table is bit-identical across shard
+    are virtual-time, so the table is bit-identical across job
     counts. *)
 
 val render : scale:float -> unit -> string

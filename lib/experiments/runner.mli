@@ -93,15 +93,6 @@ val traced_runs : unit -> int
 (** Runs executed with the metrics observer attached
     ([Config.trace > 0], i.e. [SHASTA_TRACE=1]). *)
 
-val shard_totals : unit -> int * float array * int array * int array
-(** [(runs, walls, steps, spins)]: how many runs the sharded scheduler
-    executed so far ([SHASTA_SHARDS] / bench [--shards]), and per-shard
-    sums over them of host seconds inside the shard loop, processor
-    resumes, and iterations parked at the cross-shard bound
-    ([steps /. (steps + spins)] is the occupancy the bench JSON
-    reports). Arrays are sized by the largest shard count seen — empty
-    when every run was sequential. *)
-
 val metrics_snapshot : unit -> Shasta_trace.Metrics.t
 (** A copy of the global metrics aggregate over every traced run so far
     (empty when tracing was never on). Aggregation is commutative, so

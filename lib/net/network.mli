@@ -14,8 +14,7 @@ type 'a msg = { arrival : int; sent : int; src : int; seq : int; payload : 'a }
     sender, where it follows program order; the tie-break chain is thus
     a function of virtual time and sender identity only, so delivery
     order is independent of how the scheduler interleaves processors in
-    host time (required by run-ahead, and by the sharded scheduler where
-    the interleaving spans domains). *)
+    host time (required by run-ahead). *)
 
 (** Binary min-heap on [(arrival, sent, src, seq)]; exposed for unit
     tests. The read-only probes ([size], [min_arrival]) do not
@@ -62,35 +61,6 @@ val earliest_arrival : 'a t -> dst:int -> int
 val queued : 'a t -> dst:int -> int
 (** Number of queued (in-flight or arrived) messages for [dst]. *)
 
-(** {1 Sharded transport}
-
-    When the simulation is split across domains, each shard (a group of
-    processors) owns its processors' destination heaps outright. A
-    message crossing shards is stamped by the sender exactly as usual —
-    arrival times and FIFO bumps are a pure function of virtual time —
-    but detours through a per-(src shard, dst shard) mutex-protected
-    mailbox; the destination shard folds its mailboxes into the heaps at
-    every scheduler iteration ({!drain_shard}), always before any of its
-    processors could reach the message's arrival time (guaranteed by the
-    conservative cross-shard bound — see Engine.run_sharded). *)
-
-val set_sharding : 'a t -> shards:int -> shard_of:(int -> int) -> unit
-(** Enable cross-shard mailbox routing. [shard_of] maps a processor id
-    to its shard in [0, shards). Call before the run starts; with
-    [shards = 1] routing stays direct. *)
-
-val drain_shard : 'a t -> shard:int -> int
-(** Move every mailboxed message destined to [shard] into its
-    destination heap; returns the number moved. Must be called only from
-    the domain running [shard]. *)
-
-val cross_sent : 'a t -> int
-(** Monotonic count of cross-shard sends, incremented before the mailbox
-    push — so at any instant [cross_sent] is at least the number of
-    messages that have ever been visible in a mailbox. The sharded
-    scheduler's termination detector compares it against the drained
-    count. *)
-
 (** {1 Crash quarantine}
 
     When a node crashes, its processors are marked dead: subsequent
@@ -108,7 +78,7 @@ val is_dead : 'a t -> int -> bool
 
 val purge_dead : 'a t -> int
 (** Discard every queued message whose source or destination is dead;
-    returns the number discarded. Sequential scheduler only. *)
+    returns the number discarded. *)
 
 val dropped : 'a t -> int
 (** Total messages discarded by quarantine (sends suppressed plus
@@ -120,7 +90,7 @@ val purge_where :
     the dropped [(src, dst, payload)] triples sorted by their delivery
     stamps (the order they would have been handled in). Used by crash
     recovery to cancel live-live in-flight traffic naming an affected
-    block. Sequential scheduler only. *)
+    block. *)
 
 val iter_queued : 'a t -> dst:int -> (src:int -> arrival:int -> 'a -> unit) -> unit
 (** Iterate over the messages currently queued for [dst] (arrived or

@@ -80,13 +80,10 @@ let () =
    every peer's clock and status, a running processor never enqueues a
    message to itself ([Protocol.deliver] handles those inline), so
    re-performing would recompute the identical horizon and pop the
-   unique (clock, pid) minimum — [p] itself — right back. Under the
-   sharded scheduler the recomputed cross-shard bound can only have
-   grown (published clocks are monotone), so keeping the staler, smaller
-   horizon is conservative there. A protocol operation typically issues
-   several scheduling points at one virtual time (the flush charge, the
-   poll charge, the poll probe), and this collapses them into at most
-   one continuation switch. *)
+   unique (clock, pid) minimum — [p] itself — right back. A protocol
+   operation typically issues several scheduling points at one virtual
+   time (the flush charge, the poll charge, the poll probe), and this
+   collapses them into at most one continuation switch. *)
 let yield p =
   if p.p_now >= p.p_horizon && p.p_now <> p.p_resumed_at then begin
     p.p_counters.performed <- p.p_counters.performed + 1;
@@ -213,20 +210,13 @@ let idle_skip p ~quantum =
 
 let no_hint (_ : int) = max_int
 
-(* Shared tail of the horizon formula (see the long comment in [run]
-   for the derivation of the base [h] / [tie_lower] accumulation, which
-   each scheduler inlines over its own peer set). [bound] is the
-   conservative cross-shard bound, [max_int] when the whole machine is
-   in view. Returns (visible, horizon).
-
-   The tie-break sharpening (+1) applies only strictly below [bound]: a
-   cross-shard message may arrive at exactly [bound], so the processor
-   must yield there no matter who would win the (clock, pid) race. *)
-let horizon_finish ~h ~tie_lower ~bound =
-  if bound <= h then (bound, bound)
-  else
-    let horizon = if tie_lower || h = max_int then h else h + 1 in
-    (h, min horizon bound)
+(* Tail of the horizon formula (see the long comment in [run] for the
+   derivation of the base [h] / [tie_lower] accumulation). Returns
+   (visible, horizon): the horizon is sharpened to [h + 1] unless some
+   contributor would win the (clock, pid) tie-break at [h]. *)
+let horizon_finish ~h ~tie_lower =
+  let horizon = if tie_lower || h = max_int then h else h + 1 in
+  (h, horizon)
 
 (* Crash-event support shared by [run] and [run_controlled]: a kill
    closure over the run's task array, and a due-event pump consulted
@@ -341,9 +331,7 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
           tie_lower := !tie_lower || la > 0 || q.p_id < p.p_id
       end
     done;
-    let visible, horizon =
-      horizon_finish ~h:!h ~tie_lower:!tie_lower ~bound:max_int
-    in
+    let visible, horizon = horizon_finish ~h:!h ~tie_lower:!tie_lower in
     p.p_visible <- visible;
     horizon
   in
@@ -413,298 +401,6 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
    [run_ahead:false] schedule exactly; any other choice models a valid
    timing (slower processors, longer latencies) because per-pair message
    FIFO order is preserved by the network layer regardless of schedule. *)
-(* ------------------------------------------------------------------ *)
-(* Sharded conservative-PDES scheduler.
-
-   Processors are partitioned into [shards]; each shard runs the
-   ordinary min-clock run-ahead loop over its own processors on its own
-   domain, concurrently with the others. Correctness rests on one
-   invariant, the cross-shard conservative bound:
-
-     bound(s) = min over s' <> s of  pub(s') + shard_lookahead(s, s')
-
-   where pub(s') is shard s''s published clock — a lower bound on the
-   virtual time of anything it will ever send from now on — and
-   shard_lookahead is the minimum lookahead over cross-shard processor
-   pairs. No processor of [s] is ever resumed at a clock at-or-past
-   bound(s), and every resume's horizon AND visibility are capped at the
-   bound, so by the run-ahead safety argument ("yielding more often is
-   always safe") the merged event stream is bit-identical to the
-   sequential scheduler: any message that could arrive at virtual time t
-   is guaranteed to be sitting in the destination heap before any
-   destination processor reaches t, because (a) the sender stamped and
-   mailboxed it before publishing a clock that could raise the bound
-   past t, and (b) the destination shard folds its mailboxes into the
-   heaps at every loop iteration, before re-reading the bound.
-
-   Deadlock-freedom: every cross-shard lookahead entry must be >= 1
-   (checked at entry; the coherence-node partition guarantees it, since
-   distinct nodes only interact through the network whose cheapest
-   message costs a zero-byte transfer >= the link latency). If two
-   shards both stalled at each other's bound b = pub + la > pub, each
-   could still run its processors up to its own bound, a contradiction
-   once clocks reach the minimum parked clock.
-
-   Termination: once a shard's processors are all in the post-run drain
-   and it has no local protocol work, it publishes a quiet word
-   combining its drained-message count and a quiet bit in ONE atomic:
-
-     word(s) = (drained(s) lsl 1) lor quiet(s)
-
-   Shard 0 declares global quiescence after two scans observing every
-   quiet bit set, cross_sent() equal to the sum of drained counts, and
-   both unchanged between the scans. A message in a mailbox is counted
-   in cross_sent but not yet in any drained count (the sender increments
-   cross_sent before the push); a message drained into a heap bumped the
-   drained count in the same word update that cleared the quiet bit, and
-   drained counts are monotonic, so a transient drain between the scans
-   cannot restore the earlier word. Hence at a successful double scan no
-   message exists anywhere and every shard was protocol-quiet after its
-   last drain — exactly [Machine.quiescent], decided without touching
-   another shard's state. *)
-
-type shard_stats = {
-  shard_walls : float array;  (** per-shard host seconds inside the loop *)
-  shard_steps : int array;  (** processor resumes executed by the shard *)
-  shard_spins : int array;
-      (** loop iterations parked at the cross-shard bound — the
-          spin/step ratio is the occupancy complement *)
-}
-
-exception Shard_failure of exn
-
-let no_clock () = 0.0
-
-let default_park _ = Domain.cpu_relax ()
-
-let run_sharded ~nprocs ~shards ~shard_of ?(max_cycles = 2_000_000_000)
-    ?(arrival_hint = no_hint) ~lookahead ~drain ~cross_sent ~quiet
-    ~on_quiesced ?(clock = no_clock) ?(park = default_park) body =
-  assert (nprocs > 0 && shards > 1);
-  assert (Array.length lookahead = nprocs * nprocs);
-  let shard_members = Array.make shards [] in
-  for i = nprocs - 1 downto 0 do
-    let s = shard_of i in
-    assert (s >= 0 && s < shards);
-    shard_members.(s) <- i :: shard_members.(s)
-  done;
-  Array.iter (fun ms -> assert (ms <> [])) shard_members;
-  (* Conservative per-shard-pair lookahead: min over cross pairs. *)
-  let shard_la = Array.make (shards * shards) max_int in
-  for p = 0 to nprocs - 1 do
-    for q = 0 to nprocs - 1 do
-      let sp = shard_of p and sq = shard_of q in
-      if sp <> sq then begin
-        let k = (sp * shards) + sq in
-        shard_la.(k) <- min shard_la.(k) lookahead.((p * nprocs) + q)
-      end
-    done
-  done;
-  Array.iteri
-    (fun k la ->
-      if k / shards <> k mod shards && la < 1 then
-        invalid_arg
-          "Engine.run_sharded: cross-shard lookahead must be >= 1 (shard by \
-           coherence node)")
-    shard_la;
-  let shard_counters =
-    Array.init shards (fun _ -> { performed = 0; elided = 0 })
-  in
-  let tasks =
-    Array.init nprocs (fun i ->
-        {
-          p_id = i;
-          p_nprocs = nprocs;
-          p_now = 0;
-          p_status = Fresh;
-          p_horizon = 0;
-          p_resumed_at = min_int;
-          p_visible = min_int;
-          p_max_cycles = max_cycles;
-          p_counters = shard_counters.(shard_of i);
-        })
-  in
-  (* Published clocks: pub.(s) is a lower bound on every future send of
-     shard s (the min clock of its runnable processors; clocks only
-     grow, and a processor's sends are stamped at-or-after its clock).
-     max_int once the shard has fully finished. *)
-  let pub = Array.init shards (fun _ -> Atomic.make 0) in
-  (* (drained lsl 1) lor quiet — see the termination note above. *)
-  let words = Array.init shards (fun _ -> Atomic.make 0) in
-  let quiesced = Atomic.make false in
-  let failure = Atomic.make None in
-  let walls = Array.make shards 0.0 in
-  let steps = Array.make shards 0 in
-  let spins = Array.make shards 0 in
-  let bound_of s =
-    let b = ref max_int in
-    for s' = 0 to shards - 1 do
-      if s' <> s then begin
-        let p = Atomic.get pub.(s') in
-        if p < max_int then begin
-          let v = p + shard_la.((s * shards) + s') in
-          if v < !b then b := v
-        end
-      end
-    done;
-    !b
-  in
-  let check_quiesce () =
-    if not (Atomic.get quiesced) then begin
-      let scan () =
-        let ok = ref true in
-        let drained = ref 0 in
-        let ws = Array.map Atomic.get words in
-        Array.iter
-          (fun w ->
-            if w land 1 = 0 then ok := false;
-            drained := !drained + (w lsr 1))
-          ws;
-        let xs = cross_sent () in
-        ((!ok && xs = !drained), xs, ws)
-      in
-      let ok1, xs1, ws1 = scan () in
-      if ok1 then begin
-        let ok2, xs2, ws2 = scan () in
-        if ok2 && xs2 = xs1 && ws2 = ws1 then begin
-          Atomic.set quiesced true;
-          on_quiesced ()
-        end
-      end
-    end
-  in
-  let shard_loop s =
-    let t0 = clock () in
-    let members = shard_members.(s) in
-    let my_n = List.length members in
-    let counters = shard_counters.(s) in
-    let q = Runq.create my_n tasks.(List.hd members) in
-    List.iter (fun i -> Runq.push q tasks.(i)) members;
-    let drained = ref 0 in
-    let member_ids = Array.of_list members in
-    (* Local horizon over this shard's own processors; cross-shard peers
-       are summarized by [bound] — the same accumulation as [run]'s
-       [horizon_of], restricted to the shard, finished with the capped
-       tail. *)
-    let horizon_of p bound =
-      let h = ref (arrival_hint p.p_id) in
-      let tie_lower = ref false in
-      let row = p.p_id * nprocs in
-      for k = 0 to Array.length member_ids - 1 do
-        let qq = tasks.(member_ids.(k)) in
-        if qq != p && qq.p_status <> Finished then begin
-          let la = lookahead.(row + qq.p_id) in
-          let b = qq.p_now + la in
-          if b < !h then begin
-            h := b;
-            tie_lower := la > 0 || qq.p_id < p.p_id
-          end
-          else if b = !h then tie_lower := !tie_lower || la > 0 || qq.p_id < p.p_id
-        end
-      done;
-      let visible, horizon = horizon_finish ~h:!h ~tie_lower:!tie_lower ~bound in
-      p.p_visible <- visible;
-      horizon
-    in
-    (try
-       let running = ref true in
-       (* Consecutive iterations parked at the bound without resuming a
-          processor — reset on any resume or cross-shard delivery. Fed
-          to [park] so a host with fewer cores than shards can back off
-          to the OS scheduler instead of burning the working shard's
-          timeslice. *)
-       let consec = ref 0 in
-       while !running do
-         if Atomic.get failure <> None then running := false
-         else begin
-           (* The bound MUST come from [pub] values read BEFORE the
-              drain. A message admissible under [bound] — arrival <
-              pub(s') + la — was necessarily mailboxed before s'
-              published that clock (sends are stamped at-or-after the
-              sender's pub, and transfer >= la), so a drain performed
-              after the pub read is guaranteed to deliver it. Draining
-              first and reading pubs second reopens a window: a message
-              pushed between our drain and the sender's pub advance can
-              be admissible under the fresher bound yet still sit in
-              the mailbox, and the resumed processor polls straight
-              past its arrival. Staleness the other way (an old, lower
-              pub) only shrinks the bound, which is always safe. *)
-           let bound = bound_of s in
-           let moved = drain s in
-           if moved > 0 then consec := 0;
-           drained := !drained + moved;
-           (* Publish the quiet word every iteration, and let shard 0
-              scan every iteration too: the slowest shard never parks
-              at its bound (everyone else is ahead of it), so deferring
-              the scan to the parked branch could leave shard 0
-              stepping drain spins forever while the others wait
-              parked-and-quiet. *)
-           Atomic.set words.(s)
-             ((!drained lsl 1) lor (if quiet s then 1 else 0));
-           if s = 0 then check_quiesce ();
-           if q.Runq.size = 0 then begin
-             Atomic.set pub.(s) max_int;
-             Atomic.set words.(s) ((!drained lsl 1) lor 1);
-             running := false
-           end
-           else begin
-             let p = q.Runq.heap.(0) in
-             Atomic.set pub.(s) p.p_now;
-             if p.p_now >= bound then begin
-               spins.(s) <- spins.(s) + 1;
-               incr consec;
-               park !consec
-             end
-             else begin
-               consec := 0;
-               let p = Runq.pop q in
-               steps.(s) <- steps.(s) + 1;
-               p.p_horizon <- horizon_of p bound;
-               p.p_resumed_at <- p.p_now;
-               step body p;
-               match p.p_status with
-               | Suspended _ -> Runq.push q p
-               | Finished -> ()
-               | Fresh | Running -> assert false
-             end
-           end
-         end
-       done
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-       Atomic.set pub.(s) max_int);
-    ignore (Atomic.fetch_and_add total_performed counters.performed);
-    ignore (Atomic.fetch_and_add total_elided counters.elided);
-    walls.(s) <- clock () -. t0
-  in
-  (* Shard 0 runs in place on the calling domain; shards 1..n-1 on the
-     pool's worker domains. The pool is sized [shards] (not shards-1)
-     because a 1-job pool runs submissions in place, which would block
-     the caller before shard 0 ever started; one worker simply idles. *)
-  Shasta_util.Pool.with_pool ~jobs:shards (fun pool ->
-      let futures =
-        List.init (shards - 1) (fun k ->
-            Shasta_util.Pool.submit pool (fun () -> shard_loop (k + 1)))
-      in
-      shard_loop 0;
-      List.iter Shasta_util.Pool.await futures);
-  (match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace (Shard_failure e) bt
-  | None -> ());
-  let performed = ref 0 and elided = ref 0 in
-  Array.iter
-    (fun c ->
-      performed := !performed + c.performed;
-      elided := !elided + c.elided)
-    shard_counters;
-  ( {
-      finish = Array.map (fun p -> p.p_now) tasks;
-      yields_performed = !performed;
-      yields_elided = !elided;
-    },
-    { shard_walls = walls; shard_steps = steps; shard_spins = spins } )
-
 let run_controlled ~nprocs ?(max_cycles = 2_000_000_000) ?(events = []) ~choose
     body =
   assert (nprocs > 0);

@@ -98,88 +98,12 @@ val run :
     entry is always safe; over-estimating one can reorder visible
     events. *)
 
-type shard_stats = {
-  shard_walls : float array;
-      (** per-shard host seconds spent inside the shard loop (as
-          reported by the [clock] callback; all zero without one) *)
-  shard_steps : int array;  (** processor resumes executed by each shard *)
-  shard_spins : int array;
-      (** loop iterations each shard spent parked at the cross-shard
-          conservative bound; [steps / (steps + spins)] is a cheap
-          occupancy proxy *)
-}
-
-exception Shard_failure of exn
-(** A shard's body raised; the original exception is wrapped after every
-    other shard has been stopped and joined. *)
-
-val horizon_finish : h:int -> tie_lower:bool -> bound:int -> int * int
-(** The shared tail of the horizon formula: given the accumulated
-    minimum [h] over arrival hint and per-peer [clock + lookahead]
-    contributions, whether some contributor would win the (clock, pid)
-    tie-break ([tie_lower]), and the cross-shard conservative [bound]
-    ([max_int] when the whole machine is in view), returns
-    [(visible, horizon)]. The +1 sharpening applies only strictly below
-    [bound] — a cross-shard message may arrive at exactly [bound].
-    Exposed so tests can check the sharded scheduler's per-boundary
-    horizon against the sequential formula. *)
-
-val run_sharded :
-  nprocs:int ->
-  shards:int ->
-  shard_of:(int -> int) ->
-  ?max_cycles:int ->
-  ?arrival_hint:(int -> int) ->
-  lookahead:int array ->
-  drain:(int -> int) ->
-  cross_sent:(unit -> int) ->
-  quiet:(int -> bool) ->
-  on_quiesced:(unit -> unit) ->
-  ?clock:(unit -> float) ->
-  ?park:(int -> unit) ->
-  (proc -> unit) ->
-  outcome * shard_stats
-(** Conservative-PDES variant of {!run}: processors are partitioned by
-    [shard_of] into [shards] groups, each scheduled by its own min-clock
-    run-ahead loop running concurrently on its own domain (shard 0 in
-    place on the calling domain, the rest on a {!Shasta_util.Pool}).
-
-    Each shard continuously publishes the minimum clock of its runnable
-    processors; a shard resumes a processor only strictly below its
-    {e conservative bound} — the minimum over other shards of published
-    clock plus the pair's minimum cross-shard [lookahead] — and every
-    resume's horizon and visibility are capped at the bound. Since
-    yielding more often than necessary is always safe, and cross-shard
-    messages (delivered by [drain], which the loop calls every
-    iteration) are stamped with virtual arrival times at-or-past the
-    sender's published clock plus lookahead, the merged event stream and
-    all simulated-time results are bit-identical to {!run}. Every
-    cross-shard [lookahead] entry must be >= 1 (shard by coherence node
-    to guarantee it) or [Invalid_argument] is raised.
-
-    [drain s] moves mailboxed cross-shard messages bound for shard [s]
-    into its destination queues and returns the count moved; [quiet s]
-    reports whether shard [s] is protocol-quiet (bodies finished, no
-    local queued work); [cross_sent ()] is the monotonic global count of
-    cross-shard sends, incremented by the sender {e before} the message
-    becomes visible to [drain]. Global quiescence is declared by a
-    double scan over per-shard (drained-count, quiet) words and
-    [cross_sent] (see the termination note in the implementation), upon
-    which [on_quiesced] is called exactly once — the post-run drain
-    loops poll the flag it sets and wind down.
-
-    [park n] is called on each loop iteration parked at the bound, with
-    [n] the count of consecutive parked iterations since the last resume
-    or cross-shard delivery; the default is [Domain.cpu_relax]. Callers
-    on hosts with fewer cores than shards should back off to the OS
-    scheduler (a short sleep) once [n] grows, so a parked shard stops
-    burning the working shard's timeslice — purely a host-time policy,
-    invisible in virtual time.
-
-    The yield counters of the returned {!outcome} and the finish clocks
-    of drained processors depend on shard count and host timing (the
-    drain spins until quiescence is {e detected}); everything the
-    simulation observes in virtual time does not. *)
+val horizon_finish : h:int -> tie_lower:bool -> int * int
+(** The tail of the horizon formula: given the accumulated minimum [h]
+    over arrival hint and per-peer [clock + lookahead] contributions,
+    and whether some contributor would win the (clock, pid) tie-break
+    ([tie_lower]), returns [(visible, horizon)]. Exposed so tests can
+    pin the tie-break sharpening. *)
 
 val run_controlled :
   nprocs:int ->

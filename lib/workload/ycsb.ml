@@ -80,13 +80,12 @@ type spec = {
   clustering : int;
   seed : int;
   progs : bool;
-  shards : int;
 }
 
 let spec ?(mix = A) ?(records = 10_000) ?(ops = 40_000)
     ?(dist = Sampler.Zipfian) ?(theta = 0.99) ?(scan_max = 16)
     ?(variant = Config.Smp) ?(nprocs = 16) ?(clustering = 4) ?(seed = 42)
-    ?(progs = true) ?(shards = -1) () =
+    ?(progs = true) () =
   {
     mix;
     records;
@@ -99,7 +98,6 @@ let spec ?(mix = A) ?(records = 10_000) ?(ops = 40_000)
     clustering;
     seed;
     progs;
-    shards;
   }
 
 type class_stats = {
@@ -114,7 +112,6 @@ type result = {
   nbuckets : int;
   bcap : int;
   compiled : bool;
-  shards_used : int;
   parallel_cycles : int;
   remote_msgs : int;
   local_msgs : int;
@@ -162,6 +159,9 @@ let totals () =
                       totals_msgs.(i) ))
               class_order ))
 
+let msgs_per_op ~ops ~msgs =
+  if ops = 0 then None else Some (float_of_int msgs /. float_of_int ops)
+
 let totals_json () =
   match totals () with
   | None -> None
@@ -169,12 +169,14 @@ let totals_json () =
     let cls_json (cls, ops, lat, msgs) =
       Printf.sprintf
         "\"%s\": { \"ops\": %d, \"p50\": %d, \"p99\": %d, \"p999\": %d, \
-         \"msgs_per_op\": %.3f }"
+         \"msgs_per_op\": %s }"
         (class_name cls) ops
         (Histogram.percentile lat 0.5)
         (Histogram.percentile lat 0.99)
         (Histogram.percentile lat 0.999)
-        (float_of_int msgs /. float_of_int (max 1 ops))
+        (match msgs_per_op ~ops ~msgs with
+        | Some x -> Printf.sprintf "%.3f" x
+        | None -> "null")
     in
     Some
       (Printf.sprintf "{ \"runs\": %d, \"classes\": { %s } }" runs
@@ -213,9 +215,7 @@ let run spec =
   let heap = max (1 lsl 22) ((heap + 4095) / 4096 * 4096) in
   let cfg =
     Config.create ~variant:spec.variant ~nprocs:np
-      ~clustering:spec.clustering ~heap_bytes:heap ~seed:spec.seed
-      ?shards:(if spec.shards >= 0 then Some spec.shards else None)
-      ()
+      ~clustering:spec.clustering ~heap_bytes:heap ~seed:spec.seed ()
   in
   let h = Dsm.create cfg in
   let san =
@@ -237,11 +237,10 @@ let run spec =
   let live = Array.make nkeys false in
   Array.fill live 0 records true;
   (* Per-processor measurement state, merged in pid order after the run
-     so results are independent of shard count and host scheduling.
-     [cur.(p)] names the op class processor [p] is currently executing;
-     the [on_send] hook runs on the sending processor's domain (its
-     [src] is the executing processor), so reading [cur.(src)] there is
-     race-free. *)
+     so results are independent of host scheduling. [cur.(p)] names the
+     op class processor [p] is currently executing; the [on_send] hook
+     runs on the sending processor (its [src] is the executing
+     processor), so it reads [cur.(src)]. *)
   let cur = Array.make np (ci Other) in
   let msgs = Array.init np (fun _ -> Array.make nclasses 0) in
   let lat =
@@ -493,7 +492,6 @@ let run spec =
     nbuckets;
     bcap = Kv.bcap t;
     compiled;
-    shards_used = Dsm.shards_used h;
     parallel_cycles = Dsm.parallel_cycles h;
     remote_msgs = Dsm.messages_remote h;
     local_msgs = Dsm.messages_local h - downgrade_msgs;
@@ -524,8 +522,9 @@ let render r =
           string_of_int (Histogram.percentile c.latency 0.5);
           string_of_int (Histogram.percentile c.latency 0.99);
           string_of_int (Histogram.percentile c.latency 0.999);
-          Printf.sprintf "%.2f"
-            (float_of_int c.msgs /. float_of_int (max 1 c.count));
+          (match msgs_per_op ~ops:c.count ~msgs:c.msgs with
+          | Some x -> Printf.sprintf "%.2f" x
+          | None -> "-");
         ])
       r.classes
   in

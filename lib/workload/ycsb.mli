@@ -6,7 +6,7 @@
     machine shape. Every processor draws its own deterministic op
     stream from seeded samplers, so a run is reproducible per seed and
     — like every simulation here — bit-identical in virtual time
-    whatever the shard count or host scheduling.
+    whatever the host scheduling.
 
     Measurement is per {e op class} (read / update / rmw / insert /
     scan): each op's latency (cycles between entering and leaving the
@@ -14,7 +14,8 @@
     every protocol message is attributed via an [on_send] hook to the
     class its sending processor is currently executing — hooks charge
     no cycles, so measuring is free. Per-processor series are merged in
-    pid order after the run, keeping results shard-invariant.
+    pid order after the run, keeping results independent of host
+    scheduling.
 
     Correctness is checked like the registered apps: a host shadow copy
     is maintained inside the same bucket critical sections (per-key
@@ -38,8 +39,8 @@ type op_class = Read | Update | Rmw | Insert | Scan | Other
 val class_name : op_class -> string
 
 val class_order : op_class list
-(** Fixed rendering/merge order. [Other] holds messages sent outside
-    any op (none in the current bodies). *)
+(** Fixed rendering/merge order. [Other] holds messages a processor
+    sends while outside any op; it never counts ops. *)
 
 type spec = {
   mix : mix;
@@ -56,8 +57,6 @@ type spec = {
       (** compile get/put/rmw probes to checked access programs when the
           mix allows it (no inserts); cycle-identical to the closure
           path *)
-  shards : int;  (** [Config.shards] encoding, or [-1] for the
-                     configuration default ([SHASTA_SHARDS]) *)
 }
 
 val spec :
@@ -72,12 +71,10 @@ val spec :
   ?clustering:int ->
   ?seed:int ->
   ?progs:bool ->
-  ?shards:int ->
   unit ->
   spec
 (** Defaults: workload A, 10_000 records, 40_000 ops, zipfian 0.99,
-    scan_max 16, Smp 16 processors clustered 4, seed 42, progs on,
-    shards from the environment. *)
+    scan_max 16, Smp 16 processors clustered 4, seed 42, progs on. *)
 
 type class_stats = {
   cls : op_class;
@@ -91,7 +88,6 @@ type result = {
   nbuckets : int;
   bcap : int;
   compiled : bool;  (** the access-program path was used *)
-  shards_used : int;
   parallel_cycles : int;
   remote_msgs : int;
   local_msgs : int;  (** excluding downgrades *)
@@ -111,7 +107,8 @@ val run : spec -> result
 val render : result -> string
 (** The per-op-class table (count, p50/p99/p999 latency cycles,
     messages/op) plus totals — virtual-time quantities only, so the
-    output is bit-identical across shard counts and host runs. *)
+    output is bit-identical across host runs. A class with no ops
+    prints [-] as its messages/op. *)
 
 val totals :
   unit -> (int * (op_class * int * Histogram.t * int) list) option
@@ -121,4 +118,8 @@ val totals :
 
 val totals_json : unit -> string option
 (** The aggregate as a JSON object (per class: ops, p50/p99/p999,
-    msgs_per_op) for [bench --json]. *)
+    msgs_per_op) for [bench --json]. [msgs_per_op] is [null] for a
+    class with no ops. *)
+
+val msgs_per_op : ops:int -> msgs:int -> float option
+(** [msgs / ops], or [None] when [ops = 0]. *)

@@ -149,54 +149,6 @@ let test_fifo_arrival_bump () =
     (Some (0, "small"))
     (Network.poll net ~dst:1 ~now:(big_arrival + 1))
 
-let test_cross_shard_fifo_bump () =
-  (* The sharded detour must not weaken delivery order: a small message
-     sent after a big one on the same (src,dst) pair is FIFO-bumped at
-     SEND time (stamping is a pure function of virtual time), so the
-     order survives the mailbox hop and the drain. Mirrors
-     [test_fifo_arrival_bump] with the two procs on different shards. *)
-  let topo = Topology.create ~nprocs:2 ~procs_per_node:1 in
-  let net = Network.create topo Link.default in
-  Network.set_sharding net ~shards:2 ~shard_of:(fun p -> p);
-  let zero_cost = Link.transfer_cycles Link.default ~same_node:false ~size:0 in
-  Network.send net ~src:0 ~dst:1 ~now:0 ~size:8192 "big";
-  Network.send net ~src:0 ~dst:1 ~now:1 ~size:0 "small";
-  Alcotest.(check int) "both sends counted as cross-shard" 2
-    (Network.cross_sent net);
-  (* Undrained mailboxed messages are invisible to the destination. *)
-  Alcotest.(check int) "nothing in the heap before drain" 0
-    (Network.queued net ~dst:1);
-  Alcotest.(check int) "drain moves both" 2 (Network.drain_shard net ~shard:1);
-  Alcotest.(check int) "drain is idempotent when empty" 0
-    (Network.drain_shard net ~shard:1);
-  let big_arrival =
-    match Network.peek_arrival net ~dst:1 with
-    | Some t -> t
-    | None -> Alcotest.fail "big lost"
-  in
-  Alcotest.(check bool) "bump actually triggered" true
-    (1 + zero_cost < big_arrival);
-  (match Network.poll net ~dst:1 ~now:big_arrival with
-  | Some (_, m) -> Alcotest.(check string) "big first" "big" m
-  | None -> Alcotest.fail "big not delivered at its arrival");
-  Alcotest.(check (option (pair int string)))
-    "small not yet due at big's arrival" None
-    (Network.poll net ~dst:1 ~now:big_arrival);
-  Alcotest.(check (option (pair int string)))
-    "small due exactly one cycle later"
-    (Some (0, "small"))
-    (Network.poll net ~dst:1 ~now:(big_arrival + 1))
-
-let test_cross_shard_same_shard_direct () =
-  (* With sharding enabled, an intra-shard send bypasses the mailboxes
-     entirely — visible immediately, no drain needed. *)
-  let topo = Topology.create ~nprocs:4 ~procs_per_node:2 in
-  let net = Network.create topo Link.default in
-  Network.set_sharding net ~shards:2 ~shard_of:(fun p -> p / 2);
-  Network.send net ~src:0 ~dst:1 ~now:0 ~size:16 "direct";
-  Alcotest.(check int) "not a cross-shard send" 0 (Network.cross_sent net);
-  Alcotest.(check int) "already in the heap" 1 (Network.queued net ~dst:1)
-
 let prop_arrival_order =
   QCheck.Test.make ~name:"poll yields messages in arrival order" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 30) (pair (int_bound 3) (int_bound 500)))
@@ -238,12 +190,5 @@ let () =
           Alcotest.test_case "pop ordering" `Quick test_heap_pop_ordering;
           Alcotest.test_case "tie-breaks" `Quick test_heap_tie_breaks;
           Alcotest.test_case "fifo arrival bump" `Quick test_fifo_arrival_bump;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "cross-shard fifo bump" `Quick
-            test_cross_shard_fifo_bump;
-          Alcotest.test_case "intra-shard stays direct" `Quick
-            test_cross_shard_same_shard_direct;
         ] );
     ]

@@ -81,6 +81,20 @@ let test_default_jobs_env () =
      must at least be a positive count. *)
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
+(* The first app lookup verifies every kernel program once; lookups
+   racing in from several worker domains must all wait for that check
+   rather than fail. This is the first lookup in this process. *)
+let test_concurrent_first_lookup () =
+  let names = Shasta_apps.Registry.names in
+  let found =
+    Pool.map_list ~jobs:4
+      (fun n ->
+        let _maker = Shasta_apps.Registry.find n in
+        n)
+      (names @ names)
+  in
+  Alcotest.(check (list string)) "every lookup succeeds" (names @ names) found
+
 let () =
   Alcotest.run "pool"
     [
@@ -96,5 +110,7 @@ let () =
           Alcotest.test_case "shutdown semantics" `Quick
             test_submit_after_shutdown;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_env;
+          Alcotest.test_case "concurrent first app lookup" `Quick
+            test_concurrent_first_lookup;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* The KV store + YCSB harness: oracle-verified runs on both access
-   paths, compiled/closure and shard-count invariance, per-seed
+   paths, compiled/closure parity, per-seed
    determinism, a two-node single-bucket litmus, and a 64-seed fuzz of
    the bucket critical section with the sanitizer and race detector
    attached. *)
@@ -15,9 +15,9 @@ module Races = Shasta_check.Races
 module Histogram = Shasta_util.Histogram
 module Prng = Shasta_util.Prng
 
-let small ?(mix = Ycsb.A) ?(progs = true) ?(shards = 1) ?(seed = 42) () =
+let small ?(mix = Ycsb.A) ?(progs = true) ?(seed = 42) () =
   Ycsb.spec ~mix ~records:1_000 ~ops:4_000 ~theta:0.9 ~variant:Config.Smp
-    ~nprocs:8 ~clustering:2 ~progs ~shards ~seed ()
+    ~nprocs:8 ~clustering:2 ~progs ~seed ()
 
 (* Everything virtual-time about a result, for cross-run comparison:
    clock, message counts, and per-class (count, msgs, latency histogram
@@ -68,14 +68,51 @@ let test_progs_closure_parity () =
   Alcotest.(check bool) "identical virtual-time digests" true
     (digest fast = digest slow)
 
-(* Sharding the engine must not change anything virtual-time. *)
-let test_shard_invariance () =
-  let one = Ycsb.run (small ~shards:1 ()) in
-  let two = Ycsb.run (small ~shards:2 ()) in
-  check_oracle "shards 1" one;
-  check_oracle "shards 2" two;
-  Alcotest.(check bool) "identical virtual-time digests" true
-    (digest one = digest two)
+(* A class with no ops has no messages-per-op: the messages charged to
+   [Other] (sent while a processor is outside any op) must not be
+   printed as a per-op figure. The table shows "-", the JSON aggregate
+   [null]. *)
+let test_zero_op_class () =
+  let r = Ycsb.run (small ()) in
+  (match
+     List.find_opt
+       (fun (c : Ycsb.class_stats) -> c.Ycsb.cls = Ycsb.Other)
+       r.Ycsb.classes
+   with
+  | Some c ->
+    Alcotest.(check int) "other has no ops" 0 c.Ycsb.count;
+    Alcotest.(check bool) "other carries messages" true (c.Ycsb.msgs > 0)
+  | None -> Alcotest.fail "no other row to check");
+  (* msgs/op is the last column of the rendered table. *)
+  let msgs_col name =
+    String.split_on_char '\n' (Ycsb.render r)
+    |> List.find_map (fun line ->
+           match
+             String.split_on_char '|' line
+             |> List.map String.trim
+             |> List.filter (( <> ) "")
+           with
+           | c :: _ as cells when c = name -> Some (List.nth cells 5)
+           | _ -> None)
+  in
+  Alcotest.(check (option string)) "table: other" (Some "-") (msgs_col "other");
+  Alcotest.(check bool) "table: read is a number" true
+    (Option.bind (msgs_col "read") float_of_string_opt <> None);
+  let json = Option.get (Ycsb.totals_json ()) in
+  let contains sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length json && (String.sub json i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "json: other is null" true
+    (contains
+       "\"other\": { \"ops\": 0, \"p50\": 0, \"p99\": 0, \"p999\": 0, \"msgs_per_op\": null }");
+  (* [other] is the last class, so a null followed by ", " would be a
+     second null class. *)
+  Alcotest.(check bool) "json: only other is null" false
+    (contains "null }, ")
 
 (* Same seed: same run. Different seed: a different schedule (the
    clock is free to collide, the full digest is not). *)
@@ -199,10 +236,10 @@ let () =
             test_ycsb_oracle;
           Alcotest.test_case "compiled = closure in virtual time" `Slow
             test_progs_closure_parity;
-          Alcotest.test_case "shards 1 = shards 2" `Slow
-            test_shard_invariance;
           Alcotest.test_case "deterministic per seed" `Slow
             test_seed_determinism;
+          Alcotest.test_case "zero-op class has no msgs/op" `Slow
+            test_zero_op_class;
           Alcotest.test_case "insert mixes D/E" `Slow test_insert_mixes;
         ] );
       ( "kv-litmus",
