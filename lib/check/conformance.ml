@@ -40,7 +40,7 @@ let check_scenario ?(seeds = 64) (sc : Litmus.scenario) =
     let m = Dsm.machine inst.Litmus.handle in
     let conf = Verify.Conform.make ~labels m in
     Dsm.add_observer inst.Litmus.handle conf.Verify.Conform.observer;
-    Dsm.run_controlled ~choose inst.Litmus.handle inst.Litmus.body;
+    Dsm.run ~choose inst.Litmus.handle inst.Litmus.body;
     (* The reference vocabulary is the crash-free model's (see
        Conform.reference): a run that crashed would project recovery
        re-injections against labels that deliberately exclude them.

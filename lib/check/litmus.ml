@@ -288,7 +288,7 @@ let run_one ?(mk_events = fun _ -> []) sc ~fault (prefix : int array) =
   in
   let failure =
     try
-      Dsm.run_controlled ~choose ~events h body;
+      Dsm.run ~choose ~events h body;
       if Sanitizer.violation_count san > 0 then
         Some
           ("sanitizer: "

@@ -2,7 +2,7 @@
     interleavings over small 2-node / 4-processor scenarios aimed at the
     intra-node downgrade window (§3.4.3).
 
-    Each scenario is replayed under {!Shasta_core.Dsm.run_controlled}
+    Each scenario is replayed under {!Shasta_core.Dsm.run} [~choose]
     with schedules encoded as prefixes of choice indices over {e
     eligible} decision points (>= 2 runnable processors while protocol
     work is in flight); the tree of deviations from the default schedule

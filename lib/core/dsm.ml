@@ -181,14 +181,17 @@ let lookahead_matrix m =
         let same_node = Shasta_net.Topology.same_node m.Machine.topo p q in
         Shasta_net.Link.transfer_cycles cfg.Config.link ~same_node ~size:0)
 
-let run ?(run_ahead = true) ?(events = []) h body =
+let run ?(run_ahead = true) ?(events = []) ?choose h body =
   assert (not h.ran);
   h.ran <- true;
   let cfg = h.m.Machine.cfg in
   let m = h.m in
+  (* An external scheduler explores interleavings at every scheduling
+     point; keep the reference per-access path so it sees all of them. *)
+  let fast = Option.is_none choose in
   let make_body eng =
     let p = Protocol.make_ctx m eng in
-    let ctx = make_ctx m p ~fast:true in
+    let ctx = make_ctx m p ~fast in
     body ctx;
     flush ctx;
     Protocol.drain p
@@ -197,26 +200,7 @@ let run ?(run_ahead = true) ?(events = []) h body =
     Engine.run ~nprocs:cfg.Config.nprocs ~max_cycles:cfg.Config.max_cycles
       ~run_ahead
       ~arrival_hint:(Machine.earliest_arrival m)
-      ~lookahead:(lookahead_matrix m) ~events make_body
-  in
-  h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided)
-
-let run_controlled ?(events = []) ~choose h body =
-  assert (not h.ran);
-  h.ran <- true;
-  let cfg = h.m.Machine.cfg in
-  let outcome =
-    Engine.run_controlled ~nprocs:cfg.Config.nprocs
-      ~max_cycles:cfg.Config.max_cycles ~events ~choose
-      (fun eng ->
-        let p = Protocol.make_ctx h.m eng in
-        (* The controlled scheduler explores interleavings at every
-           scheduling point; keep the reference per-access path so it
-           sees all of them. *)
-        let ctx = make_ctx h.m p ~fast:false in
-        body ctx;
-        flush ctx;
-        Protocol.drain p)
+      ~lookahead:(lookahead_matrix m) ~events ?choose make_body
   in
   h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided)
 

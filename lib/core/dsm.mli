@@ -52,6 +52,7 @@ type ctx
 val run :
   ?run_ahead:bool ->
   ?events:(int * (kill:(int -> unit) -> now:int -> unit)) list ->
+  ?choose:(int array -> int) ->
   handle ->
   (ctx -> unit) ->
   unit
@@ -67,21 +68,15 @@ val run :
     Each [(at, f)] fires once, at a scheduler decision point, before
     any processor executes at or past cycle [at]; [f] may kill
     processors and mutate machine state atomically. Passing [[]]
-    (the default) is bit-identical to the previous behaviour. *)
+    (the default) is bit-identical to the previous behaviour.
 
-val run_controlled :
-  ?events:(int * (kill:(int -> unit) -> now:int -> unit)) list ->
-  choose:(int array -> int) ->
-  handle ->
-  (ctx -> unit) ->
-  unit
-(** {!run} under an external scheduler, for the litmus model checker:
-    run-ahead is disabled, every scheduling point performs, and at each
-    one [choose] picks the next processor from the runnable set (sorted
-    by virtual time, ties by pid — index 0 reproduces the default
-    schedule). [events] as in {!run} — lets the litmus DFS place
-    crashes at explored decision points. See
-    {!Shasta_sim.Engine.run_controlled}. *)
+    [choose] runs under an external scheduler, for the litmus model
+    checker and the schedule fuzzer: run-ahead is disabled, every
+    scheduling point performs, and at each one [choose] picks the next
+    processor from the runnable set (sorted by virtual time, ties by
+    pid — index 0 reproduces the default schedule). Accesses then take
+    the reference per-access path, so every scheduling point is a
+    decision. See {!Shasta_sim.Engine.run}. *)
 
 val pid : ctx -> int
 val nprocs : ctx -> int

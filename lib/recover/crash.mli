@@ -1,9 +1,9 @@
 (** Crash injection as engine events.
 
     Build [(at, callback)] pairs for the [events] parameter of
-    {!Shasta_core.Dsm.run} / [run_controlled]: at virtual cycle [at] the
-    named node fail-stops and {!Recover.rebuild} repairs the survivors,
-    atomically at a scheduler decision point. With no events scheduled
+    {!Shasta_core.Dsm.run} (plain or under [~choose]): at virtual cycle
+    [at] the named node fail-stops and {!Recover.rebuild} repairs the
+    survivors, atomically at a scheduler decision point. With no events scheduled
     the run is bit-identical to one without the crash machinery. *)
 
 val event :

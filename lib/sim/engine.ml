@@ -69,12 +69,6 @@ let total_performed = Atomic.make 0
 let total_elided = Atomic.make 0
 let yield_counts () = (Atomic.get total_performed, Atomic.get total_elided)
 
-let () =
-  at_exit (fun () ->
-      if Sys.getenv_opt "SHASTA_SCHED_STATS" <> None then
-        Printf.eprintf "[sched] yields performed=%d elided=%d\n%!"
-          (Atomic.get total_performed) (Atomic.get total_elided))
-
 (* Besides the horizon rule, a yield is elided when the clock has not
    advanced since the scheduler resumed this processor: popping [p] froze
    every peer's clock and status, a running processor never enqueues a
@@ -218,9 +212,8 @@ let horizon_finish ~h ~tie_lower =
   let horizon = if tie_lower || h = max_int then h else h + 1 in
   (h, horizon)
 
-(* Crash-event support shared by [run] and [run_controlled]: a kill
-   closure over the run's task array, and a due-event pump consulted
-   before each resume.
+(* Crash-event support for [run]: a kill closure over the run's task
+   array, and a due-event pump consulted before each resume.
 
    [kill] marks the processor [Finished] and DROPS its continuation
    without discontinuing. This is deliberate: discontinuing would unwind
@@ -255,7 +248,7 @@ let make_event_pump events kill =
     go ()
 
 let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
-    ?(arrival_hint = no_hint) ?(lookahead = [||]) ?(events = []) body =
+    ?(arrival_hint = no_hint) ?(lookahead = [||]) ?(events = []) ?choose body =
   assert (nprocs > 0);
   assert (
     Array.length lookahead = 0 || Array.length lookahead = nprocs * nprocs);
@@ -335,22 +328,61 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
     p.p_visible <- visible;
     horizon
   in
+  (* The pick policy. By default the runnable set is a (clock, pid)
+     min-heap and each decision pops its minimum. Under an external
+     [choose] (the litmus model checker) every decision is the caller's:
+     the live processors are offered sorted by (clock, pid), so index 0
+     is the default pick, and run-ahead is off. Any other choice still
+     models a valid timing (slower processors, longer latencies)
+     because per-pair message FIFO order is preserved by the network
+     layer regardless of schedule. [next] returns the pid to step, or -1
+     once every processor has finished; a chosen pid that finished (or
+     was killed by an event) since the candidates were built makes the
+     decision a no-op. *)
   let q = Runq.create nprocs tasks.(0) in
-  Array.iter (fun p -> Runq.push q p) tasks;
-  while q.Runq.size > 0 do
-    let p = Runq.pop q in
-    (* A popped processor may have been killed by an event while parked
-       in the heap; skip it. *)
+  let run_ahead, next =
+    match choose with
+    | None ->
+      Array.iter (fun p -> Runq.push q p) tasks;
+      (run_ahead, fun () -> if q.Runq.size = 0 then -1 else (Runq.pop q).p_id)
+    | Some choose ->
+      let next () =
+        let live = ref [] in
+        for i = nprocs - 1 downto 0 do
+          if tasks.(i).p_status <> Finished then live := i :: !live
+        done;
+        match !live with
+        | [] -> -1
+        | l ->
+          let cands = Array.of_list l in
+          Array.sort
+            (fun a b ->
+              let ca = tasks.(a).p_now and cb = tasks.(b).p_now in
+              if ca <> cb then compare ca cb else compare a b)
+            cands;
+          let pick = choose cands in
+          if pick < 0 || pick >= nprocs then
+            invalid_arg "Engine.run: choose picked a non-runnable pid";
+          pick
+      in
+      (false, next)
+  in
+  let pid = ref (next ()) in
+  while !pid >= 0 do
+    let p = tasks.(!pid) in
+    (* A picked processor may have been killed by an event while parked;
+       skip it. *)
     let running = ref (p.p_status <> Finished) in
     while !running do
       (* Crash events fire at the clock of the processor about to be
-         resumed — the global minimum, so an event at virtual time [at]
-         fires before any processor executes at-or-past [at]. The
-         callback may kill processors, including [p] itself. *)
+         resumed — the global minimum unless [choose] picked another, so
+         by default an event at virtual time [at] fires before any
+         processor executes at-or-past [at]. The callback may kill
+         processors, including [p] itself. *)
       if has_events then fire_due p;
       if p.p_status = Finished then running := false
       else begin
-        (* With [run_ahead] off, a past horizon forces the effect at every
+        (* With run-ahead off, a past horizon forces the effect at every
            scheduling point and [p_visible] stays in the past so idle waits
            advance one quantum at a time, reproducing the always-yield
            scheduler switch-for-switch. *)
@@ -367,87 +399,28 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
            either finishing or suspending, which the handler construction
            rules out. *)
         match p.p_status with
-        | Suspended _ ->
-          (* Self-resume fast path: pushing [p] and popping again would
-             return [p] itself whenever it is still the strict (clock,
-             pid) minimum — [less] is total on live processors (unique
-             pids), so the comparison against the heap top decides the
-             pick exactly. Skip the heap churn and resume directly. *)
-          if
-            q.Runq.size > 0 && not (Runq.less p (Array.unsafe_get q.Runq.heap 0))
-          then begin
-            Runq.push q p;
-            running := false
-          end
+        | Suspended _ -> (
+          match choose with
+          | Some _ -> running := false
+          | None ->
+            (* Self-resume fast path: pushing [p] and popping again
+               would return [p] itself whenever it is still the strict
+               (clock, pid) minimum — [less] is total on live processors
+               (unique pids), so the comparison against the heap top
+               decides the pick exactly. Skip the heap churn and resume
+               directly. *)
+            if
+              q.Runq.size > 0
+              && not (Runq.less p (Array.unsafe_get q.Runq.heap 0))
+            then begin
+              Runq.push q p;
+              running := false
+            end)
         | Finished -> running := false
         | Fresh | Running -> assert false
       end
-    done
-  done;
-  ignore (Atomic.fetch_and_add total_performed counters.performed);
-  ignore (Atomic.fetch_and_add total_elided counters.elided);
-  {
-    finish = Array.map (fun p -> p.p_now) tasks;
-    yields_performed = counters.performed;
-    yields_elided = counters.elided;
-  }
-
-(* Externally-scheduled variant for the litmus model checker: run-ahead
-   is disabled (horizons pinned at [min_int], so every scheduling point
-   performs and idle waits advance one quantum at a time), and instead
-   of popping the (clock, pid) minimum the caller's [choose] picks any
-   runnable processor. Index 0 of the candidate array is the (clock,
-   pid) minimum, so [choose = fun _ -> cands.(0)] reproduces the
-   [run_ahead:false] schedule exactly; any other choice models a valid
-   timing (slower processors, longer latencies) because per-pair message
-   FIFO order is preserved by the network layer regardless of schedule. *)
-let run_controlled ~nprocs ?(max_cycles = 2_000_000_000) ?(events = []) ~choose
-    body =
-  assert (nprocs > 0);
-  let counters = { performed = 0; elided = 0 } in
-  let tasks =
-    Array.init nprocs (fun i ->
-        {
-          p_id = i;
-          p_nprocs = nprocs;
-          p_now = 0;
-          p_status = Fresh;
-          p_horizon = min_int;
-          p_resumed_at = min_int;
-          p_visible = min_int;
-          p_max_cycles = max_cycles;
-          p_counters = counters;
-        })
-  in
-  let has_events = events <> [] in
-  let fire_due = make_event_pump events (make_kill tasks nprocs) in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = nprocs - 1 downto 0 do
-      if tasks.(i).p_status <> Finished then live := i :: !live
     done;
-    match !live with
-    | [] -> running := false
-    | l ->
-      let cands = Array.of_list l in
-      Array.sort
-        (fun a b ->
-          let ca = tasks.(a).p_now and cb = tasks.(b).p_now in
-          if ca <> cb then compare ca cb else compare a b)
-        cands;
-      let pick = choose cands in
-      if pick < 0 || pick >= nprocs then
-        invalid_arg "Engine.run_controlled: choose picked a non-runnable pid";
-      let p = tasks.(pick) in
-      if p.p_status <> Finished then begin
-        (* Crash events fire at the chosen processor's clock, before it
-           steps; the callback may kill any processor including the
-           pick, in which case this decision becomes a no-op and the
-           next iteration recomputes the live set. *)
-        if has_events then fire_due p;
-        if p.p_status <> Finished then step body p
-      end
+    pid := next ()
   done;
   ignore (Atomic.fetch_and_add total_performed counters.performed);
   ignore (Atomic.fetch_and_add total_elided counters.elided);

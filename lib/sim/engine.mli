@@ -51,6 +51,7 @@ val run :
   ?arrival_hint:(int -> int) ->
   ?lookahead:int array ->
   ?events:(int * (kill:(int -> unit) -> now:int -> unit)) list ->
+  ?choose:(int array -> int) ->
   (proc -> unit) ->
   outcome
 (** [run ~nprocs body] spawns [nprocs] processors executing [body] and
@@ -96,7 +97,23 @@ val run :
     default (and an empty array) is all zeros: the horizon degenerates
     to the exact second-lowest runnable clock. Under-estimating an
     entry is always safe; over-estimating one can reorder visible
-    events. *)
+    events.
+
+    [choose] puts the run under an external scheduler, for the litmus
+    model checker: run-ahead is off (horizons pinned as under
+    [~run_ahead:false], whatever [run_ahead] says), and at every
+    scheduling decision the live processors are collected into an array
+    sorted by (clock, pid) and passed to [choose], which must return
+    one of them; that processor is resumed. [choose = fun cands ->
+    cands.(0)] reproduces the [~run_ahead:false] schedule exactly. Any
+    other choice still models a valid execution — a timing in which the
+    chosen processor's pending work simply completes earlier — because
+    message FIFO order between each processor pair is independent of
+    the schedule and the protocol makes no real-time assumptions.
+    Raises [Invalid_argument] if [choose] returns a pid outside
+    \[0, nprocs); a pid that finished (or was killed by an event) since
+    the candidate array was built is skipped silently. [events] fire at
+    the chosen processor's clock before it steps. *)
 
 val horizon_finish : h:int -> tie_lower:bool -> int * int
 (** The tail of the horizon formula: given the accumulated minimum [h]
@@ -104,28 +121,6 @@ val horizon_finish : h:int -> tie_lower:bool -> int * int
     and whether some contributor would win the (clock, pid) tie-break
     ([tie_lower]), returns [(visible, horizon)]. Exposed so tests can
     pin the tie-break sharpening. *)
-
-val run_controlled :
-  nprocs:int ->
-  ?max_cycles:int ->
-  ?events:(int * (kill:(int -> unit) -> now:int -> unit)) list ->
-  choose:(int array -> int) ->
-  (proc -> unit) ->
-  outcome
-(** [run ~run_ahead:false] under an external scheduler, for the litmus
-    model checker. At every real scheduling decision the runnable
-    processors are collected into an array sorted by (clock, pid) and
-    passed to [choose], which must return one of them; that processor is
-    resumed. [choose = fun cands -> cands.(0)] reproduces the default
-    schedule exactly. Any other choice still models a valid execution —
-    a timing in which the chosen processor's pending work simply
-    completes earlier — because message FIFO order between each
-    processor pair is independent of the schedule and the protocol makes
-    no real-time assumptions. Raises [Invalid_argument] if [choose]
-    returns a pid outside \[0, nprocs); a pid that finished (or was
-    killed by an event) since the candidate array was built is skipped
-    silently. [events] is as in {!run}, fired at the chosen processor's
-    clock before it steps. *)
 
 val pid : proc -> int
 (** Identifier in \[0, nprocs). *)
@@ -161,6 +156,5 @@ val idle_skip : proc -> quantum:int -> int
 val yield_counts : unit -> int * int
 (** (performed, elided) yield-effect counters aggregated over every
     {e completed} run in this process, on any domain (maintained with
-    [Atomic]) — observability for benchmarks and tests. Also printed at
-    exit when [SHASTA_SCHED_STATS] is set. Per-run values are in
-    {!outcome}. *)
+    [Atomic]) — observability for benchmarks and tests. Per-run values
+    are in {!outcome}. *)

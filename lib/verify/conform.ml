@@ -12,7 +12,15 @@
    node or not" instead of pids), so one model exploration covers every
    block of a run regardless of where it is homed. It is only sound for
    2-node configs: with more nodes a run exhibits shapes (e.g. a
-   non-home third party) that the 2-node model cannot produce. *)
+   non-home third party) that the 2-node model cannot produce.
+
+   The model runs the simulator's own coherence handlers
+   (Shasta_core.Coherence.Make), so the two cannot drift apart handler
+   by handler. What this oracle still checks is the abstraction around
+   them: the model's one-block, one-word substrate and its label
+   emission, the ordered-delivery discipline, and the hand-written
+   checked-access transitions. A mismatch means one of those
+   under-approximates what real runs do. *)
 
 module M = Model
 module Core = Shasta_core

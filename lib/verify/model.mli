@@ -1,7 +1,9 @@
-(** Abstract model of the per-block coherence protocol: a pure mirror
-    of the [lib/core/protocol.ml] handlers, specialized to the litmus
-    geometry (2 coherence nodes x 2 processors, SMP variant, one block)
-    with data abstracted to one invalid-flag bit per node copy.
+(** Abstract model of the per-block coherence protocol: the
+    {!Shasta_core.Coherence} handlers — the ones the simulator runs —
+    instantiated over an abstract state for the litmus geometry (2
+    coherence nodes x 2 processors, SMP variant, one block) with data
+    abstracted to one invalid-flag bit per node copy. Only the checked
+    accesses and the node-crash transition are written here by hand.
     {!Reach} enumerates its complete reachable state space under a
     channel bound; {!Conform} checks real runs against its label set. *)
 
@@ -12,94 +14,35 @@ val nprocs : int
 
 val nnodes : int
 val node_of : int -> int
-val sibling : int -> int
-
-(** {1 Vocabulary} *)
-
-type base = I | S | E
-
-val rank : base -> int
-val base_name : base -> string
-
-type kind = Read | Readex | Upgrade
-
-val kind_name : kind -> string
-
-(** The coherence subset of the {!Shasta_core.Msg} vocabulary (tags
-    0-12); sync messages (locks, barriers) do not touch per-block state
-    and are outside the model. *)
-type msg =
-  | Req of kind
-  | Fwd of { kind : kind; requester : int; inval_acks : int }
-  | Data_reply of { kind : kind; from_home : bool; inval_acks : int }
-  | Upgrade_reply of { inval_acks : int }
-  | Invalidate of { requester : int }
-  | Inval_ack
-  | Sharing_wb of { new_sharer : int }
-  | Own_ack
-  | Downgrade of { target : base }
 
 val coherence_tags : int
-(** 13: model messages map onto [Msg] tags [0 .. coherence_tags - 1]. *)
-
-val tag : msg -> int
-(** Index into {!Shasta_core.Msg.tag_names}. *)
-
-val msg_name : msg -> string
+(** 13: the model exchanges the {!Shasta_core.Msg} coherence messages,
+    tags [0 .. coherence_tags - 1]; sync messages (locks, barriers) do
+    not touch per-block state and are outside the model. *)
 
 (** {1 Abstract state}
 
     Mutable records stepped in place; the explorer deep-copies via
     {!copy_state} before each step and never mutates a state after
-    interning it, so structural equality and hashing canonicalize. *)
-
-type deferred =
-  | Reply_read of { requester : int }
-  | Reply_readex of { requester : int; inval_acks : int }
-  | Inval_done of { requester : int }
-  | D_recovered
-      (** crash recovery rewrote a deferred action whose transaction was
-          restarted: complete the downgrade locally, send nothing
-          (mirrors [Downgrade.Recovered]) *)
-
-type down = {
-  d_target : base;
-  mutable d_deferred : deferred;  (** mutable for crash-recovery rewrites *)
-  mutable d_remaining : int;
-  mutable d_queued : (int * msg) list;
-}
-
-type entry = {
-  mutable e_kind : kind;
-  mutable e_ready : bool;
-  mutable e_acks_expected : int;
-  mutable e_acks_received : int;
-  mutable e_uar : bool;
-  mutable e_iar : bool;
-  mutable e_fwds : (int * msg) list;
-}
+    interning it, so structural equality and hashing canonicalize. The
+    per-node entries are the simulator's own {!Shasta_core.Miss_table},
+    {!Shasta_core.Downgrade} and {!Shasta_core.Directory} records, with
+    the fields the abstraction does not track held constant. *)
 
 type nodest = {
-  mutable nbase : base;
+  mutable nbase : Shasta_mem.State_table.base;
   mutable pending : bool;
-  mutable pdg : bool;
-  mutable stamped : bool;
-  mutable miss : entry option;
-  mutable down : down option;
-}
-
-type dirst = {
-  mutable owner : int;
-  mutable sharers : int;
-  mutable busy : bool;
-  mutable queue : (int * kind) list;
+  mutable pdg : bool;  (** pending_downgrade *)
+  mutable stamped : bool;  (** copy holds the invalid-flag pattern *)
+  mutable miss : Shasta_core.Miss_table.entry option;
+  mutable down : Shasta_core.Downgrade.entry option;
 }
 
 type state = {
-  dir : dirst;
+  dir : Shasta_core.Directory.entry;
   nodes : nodest array;
-  priv : base array;
-  mutable net : (int * int * msg) list;
+  priv : Shasta_mem.State_table.base array;
+  mutable net : (int * int * Shasta_core.Msg.t) list;
       (** in-flight messages as (src, dst, msg) in send order —
           delivery follows the simulator's arrival-order semantics with
           minimum-latency ranks (see {!enabled_actions}) *)
@@ -133,8 +76,9 @@ val describe_label : label -> string
 (** {1 Stepping} *)
 
 exception Model_violation of string
-(** A handler reached one of the real protocol's
-    impossible-configuration checks ([Protocol_violation] sites). *)
+(** A handler reached one of the shared handlers' impossible-configuration
+    checks (the sites that raise [Protocol_violation] in the simulator),
+    or the model's own off-home directory check. *)
 
 type t = {
   home : int;  (** initial home (the current home lives in [st.s_home]) *)

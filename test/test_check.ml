@@ -140,7 +140,7 @@ let test_controlled_matches_default () =
   | Some what -> Alcotest.fail ("default run: " ^ what));
   let cycles = Dsm.parallel_cycles inst.Litmus.handle in
   let inst' = sc.Litmus.make ~fault:None in
-  Dsm.run_controlled ~choose:(fun cands -> cands.(0)) inst'.Litmus.handle
+  Dsm.run ~choose:(fun cands -> cands.(0)) inst'.Litmus.handle
     inst'.Litmus.body;
   (match inst'.Litmus.final () with
   | None -> ()

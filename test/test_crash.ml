@@ -75,7 +75,7 @@ let crash_run ?(choose = default_choose) ?(ckpt_interval = 0) ~node ~at h body
     else [ Crash.kill h ~node ~at ]
   in
   try
-    Dsm.run_controlled ~choose ~events h body;
+    Dsm.run ~choose ~events h body;
     if Sanitizer.violation_count san > 0 then
       Bad
         ("sanitizer: "
@@ -119,7 +119,7 @@ let test_crash_inflight_downgrade () =
             placements := (Machine.node_of m dst, now) :: !placements
           | _ -> ());
     };
-  Dsm.run_controlled ~choose:default_choose inst.Litmus.handle
+  Dsm.run ~choose:default_choose inst.Litmus.handle
     inst.Litmus.body;
   let placements = List.sort_uniq compare !placements in
   Alcotest.(check bool)
@@ -176,7 +176,7 @@ let test_crash_home_with_remote_exclusive () =
           if node = 0 && block = x && to_ = Shasta_mem.State_table.Exclusive
           then t_excl := now);
     };
-  Dsm.run_controlled ~choose:default_choose h body;
+  Dsm.run ~choose:default_choose h body;
   let at = !t_excl + 1 in
   Alcotest.(check bool) "exclusive-transition clock harvested" true (at > 0);
   List.iter
@@ -233,7 +233,7 @@ let kv_lock_instance () =
 
 let test_crash_holding_kv_lock () =
   let h, _, body, _, t_hold = kv_lock_instance () in
-  Dsm.run_controlled ~choose:default_choose h body;
+  Dsm.run ~choose:default_choose h body;
   let at = !t_hold + 1 in
   Alcotest.(check bool) "holder clock harvested" true (at > 0);
   List.iter
@@ -301,7 +301,7 @@ let data_loss_harvest () =
           if src = 0 && !t_req < 0 && Msg.block_of msg = Some x then
             t_req := now);
     };
-  Dsm.run_controlled ~choose:default_choose h body;
+  Dsm.run ~choose:default_choose h body;
   !t_req
 
 let test_crash_checkpoint_log_tail () =
@@ -340,7 +340,7 @@ let test_crash_checkpoint_log_tail () =
         else Some (Printf.sprintf "p0 read fabricated value %d" !got0)
       in
       (try
-         Dsm.run_controlled ~choose:default_choose
+         Dsm.run ~choose:default_choose
            ~events:[ Crash.with_checkpoint h ~node:1 ~at ~ckpt ]
            h body
        with Recover.Recovery_violation _ as e ->
@@ -386,7 +386,7 @@ let run_fuzzed i seed =
       Observer.on_send =
         (fun ~src ~dst ~now:_ msg -> log := (src, dst, msg) :: !log);
     };
-  Dsm.run_controlled ~choose:(random_choose seed) inst.Litmus.handle
+  Dsm.run ~choose:(random_choose seed) inst.Litmus.handle
     inst.Litmus.body;
   (m, List.rev !log)
 

@@ -1,5 +1,5 @@
 (* Seeded schedule fuzzer: drive the litmus scenarios (and a small real
-   workload) under [Dsm.run_controlled] with a PRNG-seeded scheduler
+   workload) under [Dsm.run ~choose] with a PRNG-seeded scheduler
    that picks a uniformly random runnable processor at every decision
    point, with the online sanitizer and the happens-before race
    detector attached. The healthy protocol must survive every fuzzed
@@ -37,7 +37,7 @@ let fuzz_scenario ~fault sc seed =
   let rd = Races.attach m in
   let outcome =
     try
-      Dsm.run_controlled ~choose:(random_choose seed) inst.Litmus.handle
+      Dsm.run ~choose:(random_choose seed) inst.Litmus.handle
         inst.Litmus.body;
       None
     with
@@ -86,7 +86,7 @@ let test_fuzz_deterministic () =
     (fun sc ->
       let cycles seed =
         let inst = sc.Litmus.make ~fault:None in
-        Dsm.run_controlled ~choose:(random_choose seed) inst.Litmus.handle
+        Dsm.run ~choose:(random_choose seed) inst.Litmus.handle
           inst.Litmus.body;
         Dsm.parallel_cycles inst.Litmus.handle
       in
@@ -106,7 +106,7 @@ let test_seeds_diversify () =
   let clocks =
     List.init 16 (fun seed ->
         let inst = sc.Litmus.make ~fault:None in
-        Dsm.run_controlled ~choose:(random_choose seed) inst.Litmus.handle
+        Dsm.run ~choose:(random_choose seed) inst.Litmus.handle
           inst.Litmus.body;
         Dsm.parallel_cycles inst.Litmus.handle)
   in
@@ -129,7 +129,7 @@ let test_lu_fuzzed () =
       let h = Dsm.create cfg in
       let san = Sanitizer.attach (Dsm.machine h) in
       let body, verify = inst.App.setup h in
-      Dsm.run_controlled ~choose:(random_choose seed) h body;
+      Dsm.run ~choose:(random_choose seed) h body;
       let verdict = verify h in
       if not verdict.App.ok then
         Alcotest.failf "lu seed %d: %s" seed verdict.App.detail;
@@ -185,7 +185,7 @@ let scenario_span =
     | Some s -> s
     | None ->
       let inst = sc.Litmus.make ~fault:None in
-      Dsm.run_controlled
+      Dsm.run
         ~choose:(fun (cs : int array) -> cs.(0))
         inst.Litmus.handle inst.Litmus.body;
       let s = Dsm.parallel_cycles inst.Litmus.handle in
@@ -202,7 +202,7 @@ let fuzz_crash_scenario sc seed =
   let events = [ Shasta_recover.Crash.kill inst.Litmus.handle ~node ~at ] in
   let outcome =
     try
-      Dsm.run_controlled ~choose:(random_choose seed) ~events
+      Dsm.run ~choose:(random_choose seed) ~events
         inst.Litmus.handle inst.Litmus.body;
       `Completed
     with
@@ -260,7 +260,7 @@ let test_crash_points_deterministic () =
         let inst = sc.Litmus.make ~fault:None in
         let m = Dsm.machine inst.Litmus.handle in
         (try
-           Dsm.run_controlled ~choose:(random_choose seed)
+           Dsm.run ~choose:(random_choose seed)
              ~events:[ Shasta_recover.Crash.kill inst.Litmus.handle ~node ~at ]
              inst.Litmus.handle inst.Litmus.body
          with Shasta_recover.Recover.Recovery_violation _ -> ());

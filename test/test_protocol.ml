@@ -7,6 +7,9 @@ module Machine = Shasta_core.Machine
 module Stats = Shasta_core.Stats
 module Msg = Shasta_core.Msg
 module Directory = Shasta_core.Directory
+module Miss_table = Shasta_core.Miss_table
+module Protocol = Shasta_core.Protocol
+module Network = Shasta_net.Network
 module Image = Shasta_mem.Image
 module State_table = Shasta_mem.State_table
 module Layout = Shasta_mem.Layout
@@ -205,6 +208,53 @@ let test_read_latency_recorded () =
   let lat = Stats.mean_read_latency_us (Dsm.proc_stats h).(0) in
   Alcotest.(check bool) "latency near 20us" true (lat > 10.0 && lat < 40.0)
 
+(* A second data reply for a miss whose data already landed is an
+   impossible configuration; it must surface as a typed
+   [Protocol_violation], not a bare assertion. Procs 1 and 2 share the
+   block, then sit in a long computation so that proc 0's read-exclusive
+   stays data-ready while it waits for their invalidation acks; in that
+   window a duplicate reply is injected straight into the network. *)
+let test_duplicate_reply_violation () =
+  let h = base_machine () in
+  let a = Dsm.alloc h ~block_size:64 ~home:4 64 in
+  let bar = Dsm.alloc_barrier h in
+  let m = Dsm.machine h in
+  let injected = ref false in
+  let body ctx =
+    let p = Dsm.pid ctx in
+    if p = 1 || p = 2 then ignore (Dsm.load_float ctx a);
+    Dsm.barrier ctx bar;
+    if p = 1 || p = 2 then Dsm.compute ctx 10_000_000
+    else if p = 0 then begin
+      Dsm.store_float ctx a 1.0;
+      for _ = 1 to 100_000 do
+        match Miss_table.find m.Machine.nodes.(0).Machine.misses ~block:a with
+        | Some e
+          when e.Miss_table.data_ready && (not !injected)
+               && not (Miss_table.complete e) ->
+          injected := true;
+          Network.send m.Machine.net ~src:4 ~dst:0 ~now:(Dsm.now ctx) ~size:80
+            (Msg.Data_reply
+               {
+                 kind = Msg.Readex;
+                 block = a;
+                 data = Bytes.make 64 '\000';
+                 from_home = true;
+                 inval_acks = 0;
+               })
+        | _ -> Dsm.compute ctx 10
+      done
+    end
+  in
+  match Dsm.run h body with
+  | () -> Alcotest.fail "duplicate reply went unnoticed"
+  | exception Protocol.Protocol_violation { pid; block; detail; _ } ->
+    Alcotest.(check bool) "reply was injected" true !injected;
+    Alcotest.(check int) "at the requester" 0 pid;
+    Alcotest.(check int) "on the block" a block;
+    Alcotest.(check string) "detail" "data reply on an already-ready entry"
+      detail
+
 let () =
   Alcotest.run "protocol"
     [
@@ -216,6 +266,8 @@ let () =
             test_upgrade_and_invalidation;
           Alcotest.test_case "false miss" `Quick test_false_miss;
           Alcotest.test_case "read latency" `Quick test_read_latency_recorded;
+          Alcotest.test_case "duplicate reply is a typed violation" `Quick
+            test_duplicate_reply_violation;
         ] );
       ( "invalid-flag",
         [

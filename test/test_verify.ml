@@ -35,11 +35,47 @@ let test_initial_state () =
 
 let clean_result = lazy (Reach.explore Reach.default_params)
 
+(* The exact figures of the explorations below are pinned: a moved
+   state or edge count means the transition relation changed, which a
+   refactor of the shared coherence handlers must never do silently. *)
 let test_clean_reachability () =
   let r = Lazy.force clean_result in
   Alcotest.(check bool) "not capped" false r.Reach.r_capped;
   Alcotest.(check int) "zero violations" 0 (List.length r.Reach.r_violations);
-  Alcotest.(check bool) "nontrivial state space" true (r.Reach.r_states > 1000)
+  Alcotest.(check int) "states" 3928 r.Reach.r_states;
+  Alcotest.(check int) "edges" 36780 r.Reach.r_edges
+
+let crash_result =
+  lazy (Reach.explore { Reach.default_params with Reach.crashes = true })
+
+let test_crash_reachability () =
+  let r = Lazy.force crash_result in
+  Alcotest.(check bool) "not capped" false r.Reach.r_capped;
+  Alcotest.(check int) "zero violations" 0 (List.length r.Reach.r_violations);
+  Alcotest.(check int) "states" 4018 r.Reach.r_states;
+  Alcotest.(check int) "edges" 45060 r.Reach.r_edges
+
+(* The structural expected-dead set, exactly: with crashes enabled the
+   crash branches are live, so what remains dead is the one-word and
+   ordered-delivery artifacts [Model.expected_dead] documents. *)
+let test_expected_dead () =
+  let structural =
+    [
+      "msg:upgrade_fwd"; "dir.read.serve_shared"; "inval.queued_on_downgrade";
+      "inval.stale_ack"; "fwd.queued_on_downgrade"; "fwd.queued_on_miss";
+      "fwd.read.shared"; "downgrade.replay"; "entry.serve_early";
+      "load.pdg_consume"; "load.private_upgrade"; "load.false_miss";
+    ]
+  in
+  let d = Reach.dead_report (Lazy.force crash_result) in
+  Alcotest.(check (list string)) "no unexpectedly dead branches (crash)" []
+    d.Reach.dead_branches;
+  Alcotest.(check (list string)) "structural expected-dead" structural
+    d.Reach.dead_expected;
+  let clean = Reach.dead_report (Lazy.force clean_result) in
+  Alcotest.(check (list string)) "clean: structural plus crash-only"
+    (List.sort compare (structural @ Model.crash_branches))
+    (List.sort compare clean.Reach.dead_expected)
 
 let test_clean_coverage () =
   let r = Lazy.force clean_result in
@@ -61,29 +97,43 @@ let test_clean_coverage () =
       expect (tag_hit t)
   done
 
-let test_fault_exposed fault name () =
+let test_fault_exposed fault name ~states ~edges ~message ~trace () =
   let r =
     Reach.explore
       { Reach.default_params with Reach.fault = Some fault; stop_at_first = true }
   in
+  Alcotest.(check int) (name ^ ": states") states r.Reach.r_states;
+  Alcotest.(check int) (name ^ ": edges") edges r.Reach.r_edges;
   match r.Reach.r_violations with
   | [] -> Alcotest.failf "%s: no violating state reachable" name
   | v :: _ ->
-    Alcotest.(check bool)
-      (name ^ ": counterexample nonempty")
-      true
-      (List.length v.Reach.v_trace > 0)
+    Alcotest.(check string) (name ^ ": violation") message v.Reach.v_message;
+    Alcotest.(check (list string)) (name ^ ": counterexample") trace
+      v.Reach.v_trace
 
 (* ------------------------------------------------------------------ *)
 (* Conformance of real runs against the model's label vocabulary. *)
 
+(* Run and event counts are pinned like the model figures: a moved
+   count means the simulator performed different per-block transitions
+   or sends on the litmus scenarios. *)
 let test_conformance_scenarios () =
-  List.iter
-    (fun r ->
-      Alcotest.(check (list string))
-        (r.Conformance.scenario ^ " conformant")
-        [] r.Conformance.mismatches)
-    (Conformance.check_all ~seeds:16 ())
+  let expected =
+    [
+      ("two-sharer-upgrade", 1560); ("exclusive-handoff", 1170);
+      ("store-steal", 1625); ("lock-counter", 2866);
+    ]
+  in
+  let reports = Conformance.check_all () in
+  Alcotest.(check (list string)) "scenarios" (List.map fst expected)
+    (List.map (fun r -> r.Conformance.scenario) reports);
+  List.iter2
+    (fun r (name, events) ->
+      Alcotest.(check (list string)) (name ^ " conformant") []
+        r.Conformance.mismatches;
+      Alcotest.(check int) (name ^ " runs") 65 r.Conformance.runs;
+      Alcotest.(check int) (name ^ " events") events r.Conformance.events)
+    reports expected
 
 (* The QCheck face of the same oracle: any (scenario, seed) pair's
    fuzzed run projects only model-vocabulary labels. *)
@@ -103,7 +153,7 @@ let conformance_prop =
       in
       Dsm.add_observer inst.Litmus.handle conf.Conform.observer;
       let prng = Prng.create (0x5eed + (seed * 2654435761)) in
-      Dsm.run_controlled
+      Dsm.run
         ~choose:(fun cands -> cands.(Prng.int prng (Array.length cands)))
         inst.Litmus.handle inst.Litmus.body;
       conf.Conform.events () > 0 && conf.Conform.mismatches () = [])
@@ -229,11 +279,28 @@ let () =
           Alcotest.test_case "clean reachability" `Quick test_clean_reachability;
           Alcotest.test_case "branch and tag coverage" `Quick
             test_clean_coverage;
+          Alcotest.test_case "crash reachability" `Quick
+            test_crash_reachability;
+          Alcotest.test_case "structural expected-dead branches" `Quick
+            test_expected_dead;
           Alcotest.test_case "skip-private-downgrade exposed" `Quick
             (test_fault_exposed Config.Skip_private_downgrade
-               "skip-private-downgrade");
+               "skip-private-downgrade" ~states:45 ~edges:169
+               ~message:"proc 3: private Exclusive overstates node state Shared"
+               ~trace:
+                 [
+                   "p0: load"; "p3: store"; "deliver read_req p0->p2";
+                   "deliver downgrade p2->p3";
+                 ]);
           Alcotest.test_case "skip-flag-stamp exposed" `Quick
-            (test_fault_exposed Config.Skip_flag_stamp "skip-flag-stamp");
+            (test_fault_exposed Config.Skip_flag_stamp "skip-flag-stamp"
+               ~states:53 ~edges:233
+               ~message:"node 1: invalid without flag pattern"
+               ~trace:
+                 [
+                   "p0: store"; "deliver readex_req p0->p2";
+                   "deliver data_reply p2->p0"; "deliver own_ack p0->p2";
+                 ]);
         ] );
       ( "conformance",
         [

@@ -192,7 +192,7 @@ let run_litmus ?choose ~rounds ~sanitize () =
   in
   (match choose with
   | None -> Dsm.run h body
-  | Some choose -> Dsm.run_controlled ~choose h body);
+  | Some choose -> Dsm.run ~choose h body);
   Inspect.assert_invariants (Dsm.machine h);
   Alcotest.(check int) "sanitizer clean" 0 (Sanitizer.violation_count san);
   Alcotest.(check int) "race detector clean" 0 (Races.race_count rd);
